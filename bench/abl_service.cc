@@ -176,7 +176,7 @@ main(int argc, char **argv)
         std::vector<uint8_t> trace = readBytes(tracePath);
         std::remove(tracePath.c_str());
 
-        const uint64_t modHash = replay::moduleContentHash(prog.mod);
+        const uint64_t modHash = prog.contentHash();
         std::string sock = "abl_service_" + wl.name + ".sock";
         double best = 1e100;
         std::vector<uint64_t> latencies;

@@ -71,6 +71,30 @@ compileAndAnalyze(const std::string &src, const std::string &name,
     return out;
 }
 
+CompiledProgram::IdentityMemo &
+CompiledProgram::memo() const
+{
+    if (!identityMemo)
+        fatal("%s: identity of a moved-from program", mod.name.c_str());
+    return *identityMemo;
+}
+
+uint64_t
+CompiledProgram::contentHash() const
+{
+    IdentityMemo &m = memo();
+    std::call_once(m.hashed, [&] { m.hash = moduleContentHash(mod); });
+    return m.hash;
+}
+
+const PcIndex &
+CompiledProgram::pcIndex() const
+{
+    IdentityMemo &m = memo();
+    std::call_once(m.indexed, [&] { m.index = buildPcIndex(mod); });
+    return m.index;
+}
+
 std::string
 CompiledProgram::report() const
 {

@@ -10,6 +10,7 @@
  */
 
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -18,6 +19,7 @@
 #include "analysis/pointsto.h"
 #include "core/batbuild.h"
 #include "core/correlation.h"
+#include "core/identity.h"
 #include "core/tables.h"
 
 namespace ipds {
@@ -70,6 +72,31 @@ struct CompiledProgram
 
     /** Human-readable correlation/BAT report (explorer example). */
     std::string report() const;
+
+    /**
+     * The program's replay identity, each half computed on its first
+     * call and shared by every later one. Thread-safe: concurrent
+     * first calls compute it once. Compiling never computes it; a
+     * capture or a server registration needs only the hash, a
+     * ReplayEngine both. The memo moves with the program, so it is
+     * never handed to a different one; @c mod must not change once
+     * either was taken. FatalError on a moved-from program.
+     */
+    uint64_t contentHash() const;
+    const PcIndex &pcIndex() const;
+
+  private:
+    struct IdentityMemo
+    {
+        std::once_flag hashed;
+        uint64_t hash = 0;
+        std::once_flag indexed;
+        PcIndex index;
+    };
+    std::unique_ptr<IdentityMemo> identityMemo =
+        std::make_unique<IdentityMemo>();
+
+    IdentityMemo &memo() const;
 };
 
 /** Analyze an already built module (addresses must be assigned). */

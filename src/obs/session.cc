@@ -352,7 +352,7 @@ Session::run()
             fatal("Session: cannot open capture file '%s'",
                   opt.capturePath.c_str());
         replay::TraceMeta meta;
-        meta.moduleHash = replay::moduleContentHash(opt.prog->mod);
+        meta.moduleHash = opt.prog->contentHash();
         meta.sessions = opt.sessions;
         meta.shards = opt.shards;
         meta.hasTiming = opt.useTiming;

@@ -363,7 +363,11 @@ class Session
     // ---- results (valid after run()) --------------------------------
 
     bool alarmed() const { return !alarmList.empty(); }
-    /** All alarms, session order (shard-merge is deterministic). */
+    /**
+     * All alarms, session order (shard-merge is deterministic). A
+     * ServePlan run keeps each tenant's newest
+     * serve::kTenantAlarmsRetained; its metrics count every alarm.
+     */
     const std::vector<Alarm> &alarms() const { return alarmList; }
 
     /** Detector aggregates over every session. */

@@ -53,12 +53,10 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/identity.h"
 #include "timing/config.h"
 
 namespace ipds {
-
-struct Module;
-
 namespace replay {
 
 /** First 8 bytes of every trace file. */
@@ -242,13 +240,11 @@ getU64(const uint8_t *p)
 // ---- identity hashes ----------------------------------------------------
 
 /**
- * Content hash of a module: function names, signatures and every
- * instruction field (including assigned PCs) plus object geometry.
- * Two modules with equal hashes decode a trace's PCs to the same
- * instructions; a trace recorded from a different program (or the
- * same source recompiled after an edit) is rejected as foreign.
+ * The module content hash a header records (core/identity.h). Callers
+ * holding a CompiledProgram read the memoized
+ * CompiledProgram::contentHash() instead of rehashing.
  */
-uint64_t moduleContentHash(const Module &mod);
+using ipds::moduleContentHash;
 
 /**
  * Serialize @p cfg into @p out (kTimingConfigWords u32 slots, fixed

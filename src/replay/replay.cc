@@ -5,55 +5,42 @@
 namespace ipds {
 namespace replay {
 
+namespace {
+
+/** @p prog's shared PC index, once @p meta is shown to be its trace. */
+const PcIndex &
+checkedIndex(const TraceMeta &meta, const CompiledProgram &prog)
+{
+    if (meta.moduleHash != prog.contentHash())
+        fatal("trace: recorded from a different program (module "
+              "content hash mismatch) — re-record the trace");
+    const PcIndex &idx = prog.pcIndex();
+    if (idx.slots.empty())
+        fatal("trace: program has no instructions");
+    return idx;
+}
+
+} // namespace
+
 ReplayEngine::ReplayEngine(const TraceFile &f,
                            const CompiledProgram &p)
-    : file_(&f), prog(p), meta_(f.meta())
-{
-    buildPcIndex();
-}
+    : file_(&f), prog(p), meta_(f.meta()), index(checkedIndex(meta_, p))
+{}
 
 ReplayEngine::ReplayEngine(const TraceMeta &m,
                            const CompiledProgram &p)
-    : file_(nullptr), prog(p), meta_(m)
-{
-    buildPcIndex();
-}
+    : file_(nullptr), prog(p), meta_(m), index(checkedIndex(meta_, p))
+{}
 
-void
-ReplayEngine::buildPcIndex()
-{
-    const Module &mod = prog.mod;
-    if (meta_.moduleHash != moduleContentHash(mod))
-        fatal("trace: recorded from a different program (module "
-              "content hash mismatch) — re-record the trace");
-
-    uint64_t lo = ~0ull;
-    uint64_t hi = 0;
-    for (const Function &fn : mod.functions)
-        for (const BasicBlock &bb : fn.blocks)
-            for (const Inst &in : bb.insts) {
-                lo = std::min(lo, in.pc);
-                hi = std::max(hi, in.pc);
-            }
-    if (lo > hi)
-        fatal("trace: program has no instructions");
-    basePc = lo;
-    pcIndex.assign((hi - lo) / 4 + 1, {});
-    for (const Function &fn : mod.functions)
-        for (const BasicBlock &bb : fn.blocks)
-            for (const Inst &in : bb.insts)
-                pcIndex[(in.pc - basePc) / 4] = {&in, fn.id};
-}
-
-const ReplayEngine::PcEntry &
+const Inst &
 ReplayEngine::at(uint64_t pc) const
 {
-    uint64_t off = pc - basePc;
-    if (pc < basePc || (off & 3) != 0 || off / 4 >= pcIndex.size() ||
-        pcIndex[off / 4].inst == nullptr)
+    uint64_t off = pc - index.basePc;
+    if (pc < index.basePc || (off & 3) != 0 ||
+        off / 4 >= index.slots.size() || index.slots[off / 4] == nullptr)
         fatal("trace: record references pc 0x%llx outside the module",
               static_cast<unsigned long long>(pc));
-    return pcIndex[off / 4];
+    return *index.slots[off / 4];
 }
 
 namespace {
@@ -260,18 +247,20 @@ ReplayEngine::ShardCursor::feed(const ChunkRef &c,
             uint64_t pc =
                 prevPc + static_cast<uint64_t>(r.svar()) * 4;
             requireOpen();
-            const PcEntry &e = eng.at(pc);
-            if (e.inst->op != Op::Br)
+            const Inst &in = eng.at(pc);
+            if (in.op != Op::Br)
                 fatal("trace: branch record at non-branch pc");
-            if (funcStack.empty() || funcStack.back() != e.func)
+            if (funcStack.empty() ||
+                !eng.index.inFunction(funcStack.back(), pc))
                 fatal("trace: branch outside its function's "
                       "activation");
+            const FuncId f = funcStack.back();
             bool taken = t == Tag::BranchTaken;
             if (det)
-                det->onBranch(e.func, pc, taken);
+                det->onBranch(f, pc, taken);
             if (cpu) {
-                cpu->onBranch(e.func, pc, taken);
-                cpu->onInst(*e.inst, 0, 0, false);
+                cpu->onBranch(f, pc, taken);
+                cpu->onInst(in, 0, 0, false);
             }
             prevPc = pc;
             break;
@@ -281,12 +270,12 @@ ReplayEngine::ShardCursor::feed(const ChunkRef &c,
             uint64_t pc =
                 prevPc + static_cast<uint64_t>(r.svar()) * 4;
             requireOpen();
-            const PcEntry &e = eng.at(pc);
-            if (e.inst->op == Op::Br || isMemOp(e.inst->op))
+            const Inst &in = eng.at(pc);
+            if (in.op == Op::Br || isMemOp(in.op))
                 fatal("trace: plain record for a branch/memory "
                       "instruction");
             if (cpu)
-                cpu->onInst(*e.inst, 0, 0, false);
+                cpu->onInst(in, 0, 0, false);
             prevPc = pc;
             break;
           }
@@ -296,12 +285,12 @@ ReplayEngine::ShardCursor::feed(const ChunkRef &c,
             requireOpen();
             for (uint64_t i = 0; i < n; i++) {
                 uint64_t pc = prevPc + 4;
-                const PcEntry &e = eng.at(pc);
-                if (e.inst->op == Op::Br || isMemOp(e.inst->op))
+                const Inst &in = eng.at(pc);
+                if (in.op == Op::Br || isMemOp(in.op))
                     fatal("trace: plain record for a "
                           "branch/memory instruction");
                 if (cpu)
-                    cpu->onInst(*e.inst, 0, 0, false);
+                    cpu->onInst(in, 0, 0, false);
                 prevPc = pc;
             }
             break;
@@ -313,16 +302,13 @@ ReplayEngine::ShardCursor::feed(const ChunkRef &c,
             uint64_t addr =
                 prevAddr + static_cast<uint64_t>(r.svar());
             requireOpen();
-            const PcEntry &e = eng.at(pc);
-            if (!isMemOp(e.inst->op))
+            const Inst &in = eng.at(pc);
+            if (!isMemOp(in.op))
                 fatal("trace: data-access record at a "
                       "non-memory instruction");
             if (cpu)
-                cpu->onInst(
-                    *e.inst, addr,
-                    static_cast<uint32_t>(e.inst->size),
-                    e.inst->op == Op::Load ||
-                        e.inst->op == Op::LoadInd);
+                cpu->onInst(in, addr, static_cast<uint32_t>(in.size),
+                            in.op == Op::Load || in.op == Op::LoadInd);
             prevPc = pc;
             prevAddr = addr;
             break;

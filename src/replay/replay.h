@@ -35,6 +35,15 @@
  * call stack BEFORE forwarding to the detector, so a corrupt-but-
  * CRC-valid trace raises FatalError instead of tripping the
  * detector's internal panics.
+ *
+ * Program identity is per program, not per engine: the module content
+ * hash and the flat PC index are computed lazily, once each, by
+ * CompiledProgram::contentHash() and ::pcIndex() (core/identity.h)
+ * and shared by every engine, capture and server registration over
+ * that program. Building
+ * an engine is O(1): one 64-bit hash compare and a borrowed reference,
+ * no walk over instructions and no allocation — what a replay of a
+ * small trace or a served stream of a few sessions pays per check.
  */
 
 #include <cstdint>
@@ -79,7 +88,8 @@ class ReplayEngine
     /**
      * @p file and @p prog must outlive the engine. Throws FatalError
      * if the trace was recorded from a different program (module
-     * content-hash mismatch).
+     * content-hash mismatch). O(1) once @p prog's identity exists;
+     * the first engine over a program computes it.
      */
     ReplayEngine(const TraceFile &file, const CompiledProgram &prog);
 
@@ -189,23 +199,14 @@ class ReplayEngine
     };
 
   private:
-    struct PcEntry
-    {
-        const Inst *inst = nullptr;
-        FuncId func = kNoFunc;
-    };
-
     /** Decoded instruction at @p pc; FatalError if out of range. */
-    const PcEntry &at(uint64_t pc) const;
-
-    void buildPcIndex();
+    const Inst &at(uint64_t pc) const;
 
     const TraceFile *file_; ///< null for streaming engines
     const CompiledProgram &prog;
     TraceMeta meta_;
-    /** Flat (pc - basePc) / 4 index over every instruction. */
-    std::vector<PcEntry> pcIndex;
-    uint64_t basePc = 0;
+    /** @c prog's shared PC index, borrowed once its hash matched. */
+    const PcIndex &index;
 };
 
 } // namespace replay

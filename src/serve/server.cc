@@ -33,9 +33,8 @@ namespace n = obs::names;
 using Clock = std::chrono::steady_clock;
 
 uint64_t
-alarmDigest(const std::vector<Alarm> &alarms)
+alarmDigestAppend(uint64_t h, const std::vector<Alarm> &alarms)
 {
-    uint64_t h = 0xcbf29ce484222325ull; // FNV-1a
     auto mix = [&h](uint64_t v) {
         for (int i = 0; i < 8; i++) {
             h ^= (v >> (8 * i)) & 0xff;
@@ -50,6 +49,12 @@ alarmDigest(const std::vector<Alarm> &alarms)
         mix(a.branchIndex);
     }
     return h;
+}
+
+uint64_t
+alarmDigest(const std::vector<Alarm> &alarms)
+{
+    return alarmDigestAppend(kAlarmDigestSeed, alarms);
 }
 
 namespace {
@@ -150,7 +155,11 @@ struct Conn
 struct TenantState
 {
     uint64_t streams = 0;
-    std::vector<Alarm> alarms;
+    /** Every alarm ever merged: count and alarmDigest of the list. */
+    uint64_t alarmCount = 0;
+    uint64_t alarmDigest = kAlarmDigestSeed;
+    /** The newest kTenantAlarmsRetained of them, oldest first. */
+    std::deque<Alarm> alarms;
     DetectorStats det;
     TimingStats tim;
     FaultStats fault;
@@ -662,8 +671,12 @@ struct Server::Impl
             t.det.merge(det);
             t.tim.merge(tim);
             t.fault.merge(fault);
+            t.alarmCount += alarms.size();
+            t.alarmDigest = alarmDigestAppend(t.alarmDigest, alarms);
             t.alarms.insert(t.alarms.end(), alarms.begin(),
                             alarms.end());
+            while (t.alarms.size() > kTenantAlarmsRetained)
+                t.alarms.pop_front();
             t.reg.merge(sreg);
             t.frames += frames;
             t.bytes += bytes;
@@ -1395,7 +1408,7 @@ struct Server::Impl
             tr.add(tr.counter(n::kTenantBytes), t.bytes);
             tr.add(tr.counter(n::kTenantBackpressureStalls),
                    t.stalls);
-            tr.add(tr.counter(n::kTenantAlarms), t.alarms.size());
+            tr.add(tr.counter(n::kTenantAlarms), t.alarmCount);
             out += tr.toText();
         }
         return out;
@@ -1418,7 +1431,7 @@ Server::registerModule(const CompiledProgram &prog)
     Impl &im = *impl;
     if (im.started)
         fatal("serve: registerModule() after start()");
-    uint64_t h = replay::moduleContentHash(prog.mod);
+    uint64_t h = prog.contentHash();
     if (im.modules.emplace(h, &prog).second)
         im.regOrder.push_back(&prog);
 }
@@ -1606,7 +1619,10 @@ Server::snapshot() const
         TenantSnapshot s;
         s.name = kv.first;
         s.streams = kv.second.streams;
-        s.alarms = kv.second.alarms;
+        s.alarmCount = kv.second.alarmCount;
+        s.alarmDigest = kv.second.alarmDigest;
+        s.alarms.assign(kv.second.alarms.begin(),
+                        kv.second.alarms.end());
         s.det = kv.second.det;
         s.tim = kv.second.tim;
         s.fault = kv.second.fault;
@@ -1618,7 +1634,7 @@ Server::snapshot() const
         s.reg.add(s.reg.counter(n::kTenantBackpressureStalls),
                   kv.second.stalls);
         s.reg.add(s.reg.counter(n::kTenantAlarms),
-                  kv.second.alarms.size());
+                  kv.second.alarmCount);
         out.push_back(std::move(s));
     }
     return out; // std::map iteration is already name-sorted

@@ -113,12 +113,29 @@ struct ServerConfig
     size_t latencySampleCap = 1u << 16;
 };
 
+/** alarmDigest of an empty list (the FNV-1a offset basis). */
+inline constexpr uint64_t kAlarmDigestSeed = 0xcbf29ce484222325ull;
+
+/**
+ * Alarms a tenant aggregate keeps (TenantSnapshot::alarms): the
+ * newest this many. Count and digest cover every alarm the tenant
+ * ever raised; only the list is bounded, so a long-running server's
+ * memory does not grow with every alarm.
+ */
+inline constexpr size_t kTenantAlarmsRetained = 1024;
+
 /** One tenant's aggregate, merged over its completed streams. */
 struct TenantSnapshot
 {
     std::string name;
     uint64_t streams = 0;
-    std::vector<Alarm> alarms; ///< stream order, shard order within
+    /** Alarms over every completed stream (ipds.tenant.alarms). */
+    uint64_t alarmCount = 0;
+    /** alarmDigest of all alarmCount alarms, in stream order. */
+    uint64_t alarmDigest = kAlarmDigestSeed;
+    /** The newest kTenantAlarmsRetained alarms: stream order, shard
+     *  order within a stream. */
+    std::vector<Alarm> alarms;
     DetectorStats det;
     TimingStats tim;
     FaultStats fault;
@@ -128,6 +145,13 @@ struct TenantSnapshot
 
 /** FNV-1a digest of an alarm list (order-sensitive, like the list). */
 uint64_t alarmDigest(const std::vector<Alarm> &alarms);
+
+/**
+ * Carry a digest forward: alarmDigestAppend(alarmDigest(a), b) equals
+ * alarmDigest of a followed by b, so a running digest never needs the
+ * list it covers.
+ */
+uint64_t alarmDigestAppend(uint64_t h, const std::vector<Alarm> &alarms);
 
 class Server
 {
@@ -143,7 +167,8 @@ class Server
 
     /**
      * Add @p prog to the module registry, keyed by its FNV-1a content
-     * hash (replay::moduleContentHash). Hello v2 streams route to the
+     * hash (the memoized CompiledProgram::contentHash(), so every stream's
+     * ReplayEngine over @p prog is O(1)). Hello v2 streams route to the
      * module matching their hash; v1 Hello streams get the first
      * registered module. Must be called before start(); @p prog must
      * outlive the server. Re-registering the same hash is a no-op.

@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -690,6 +691,86 @@ TEST(ReplayReject, ForeignModuleIsRecoverable)
                   std::string::npos)
             << e.what();
     }
+}
+
+/** Replay @p bytes against @p prog: its own trace must replay, a
+ *  trace of another program must be refused as foreign. */
+void
+expectOwnsTrace(const CompiledProgram &prog,
+                const std::vector<uint8_t> &own,
+                const std::vector<uint8_t> &foreign)
+{
+    replay::TraceFile ownFile = replay::TraceFile::fromBytes(own);
+    replay::ReplayEngine eng(ownFile, prog);
+    replay::ReplayShardResult out;
+    eng.replayShard(0, out);
+    EXPECT_EQ(out.runs, 2u);
+
+    replay::TraceFile foreignFile = replay::TraceFile::fromBytes(foreign);
+    try {
+        replay::ReplayEngine bad(foreignFile, prog);
+        FAIL() << "expected FatalError";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("different program"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+const char *kOtherProgram = R"(
+void main() {
+    int x;
+    x = input_int();
+    if (x == 3) {
+        print_str("three\n");
+    }
+}
+)";
+
+// The replay identity is memoized per program, so it must follow the
+// program through moves and never be inherited by a program that
+// happens to occupy a dead one's address.
+
+TEST(ReplayIdentity, MoveConstructedProgramKeepsItsIdentity)
+{
+    CompiledProgram other = compileAndAnalyze(kOtherProgram, "id_other");
+    const std::vector<uint8_t> foreign = captureSmallTrace(other);
+
+    CompiledProgram src = compileAndAnalyze(kLoopProgram, "id_loop");
+    const std::vector<uint8_t> own = captureSmallTrace(src); // memo set
+    CompiledProgram moved(std::move(src));
+    expectOwnsTrace(moved, own, foreign);
+}
+
+TEST(ReplayIdentity, DefaultConstructedThenAssignedProgram)
+{
+    CompiledProgram other = compileAndAnalyze(kOtherProgram, "id_other");
+    const std::vector<uint8_t> foreign = captureSmallTrace(other);
+
+    CompiledProgram prog;
+    prog = compileAndAnalyze(kLoopProgram, "id_loop");
+    const std::vector<uint8_t> loopTrace = captureSmallTrace(prog);
+    expectOwnsTrace(prog, loopTrace, foreign);
+
+    // Reassigned to another program: the old identity goes with the
+    // old value, and the new one is computed afresh.
+    prog = compileAndAnalyze(kOtherProgram, "id_other");
+    expectOwnsTrace(prog, foreign, loopTrace);
+}
+
+TEST(ReplayIdentity, ProgramAtAFreedAddressGetsItsOwnIdentity)
+{
+    std::vector<uint8_t> loopTrace;
+    {
+        auto dead = std::make_unique<CompiledProgram>(
+            compileAndAnalyze(kLoopProgram, "id_loop"));
+        loopTrace = captureSmallTrace(*dead);
+    }
+    // Likely reuses the freed block: a cache keyed by address would
+    // hand this program the dead one's hash.
+    auto next = std::make_unique<CompiledProgram>(
+        compileAndAnalyze(kOtherProgram, "id_other"));
+    expectOwnsTrace(*next, captureSmallTrace(*next), loopTrace);
 }
 
 TEST(ReplayReject, CorruptPayloadCannotReachDetectorPanics)

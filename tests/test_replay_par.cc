@@ -16,8 +16,10 @@
 
 #include <cstdio>
 #include <fstream>
+#include <latch>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/program.h"
@@ -25,6 +27,7 @@
 #include "obs/session.h"
 #include "replay/format.h"
 #include "replay/reader.h"
+#include "replay/replay.h"
 #include "support/diag.h"
 #include "timing/config.h"
 #include "vm/vm.h"
@@ -222,6 +225,67 @@ void main() {
     for (unsigned w : kWorkerCounts)
         expectSame(seq, replayPar(prog, path, w),
                    "tamper @" + std::to_string(w));
+    std::remove(path.c_str());
+}
+
+// ------------------------------------------------- shared identity
+
+TEST(ReplayPar, ConcurrentFirstEnginesShareOneIdentity)
+{
+    // Four threads build the first ReplayEngines over one fresh const
+    // program at the same moment, so the lazy identity is computed
+    // under a race (TSan runs this label), then each replays the
+    // trace. Every result must equal a sequential replay.
+    const Workload &wl = workloadByName("telnetd");
+    CompiledProgram captured = compileAndAnalyze(wl.source, wl.name);
+    std::string path = tmpTracePath("identity");
+    Session::builder()
+        .program(captured)
+        .inputs(wl.benignInputs)
+        .sessions(4)
+        .shards(2)
+        .plan(CapturePlan(path))
+        .build()
+        .run();
+    const replay::TraceFile file = replay::TraceFile::load(path);
+
+    auto replayAll = [&file](const CompiledProgram &prog) {
+        replay::ReplayEngine eng(file, prog);
+        replay::ReplayShardResult all;
+        for (uint32_t s = 0; s < eng.shards(); s++) {
+            replay::ReplayShardResult r;
+            eng.replayShard(s, r);
+            all.det.merge(r.det);
+            all.alarms.insert(all.alarms.end(), r.alarms.begin(),
+                              r.alarms.end());
+            all.runs += r.runs;
+            all.events += r.events;
+        }
+        return all;
+    };
+    const replay::ReplayShardResult seq = replayAll(captured);
+    ASSERT_EQ(seq.runs, 4u);
+
+    const CompiledProgram fresh = compileAndAnalyze(wl.source, wl.name);
+    constexpr int kThreads = 4;
+    std::latch start(kThreads);
+    std::vector<replay::ReplayShardResult> got(kThreads);
+    std::vector<std::thread> ts;
+    for (int t = 0; t < kThreads; t++)
+        ts.emplace_back([&, t] {
+            start.arrive_and_wait();
+            got[t] = replayAll(fresh);
+        });
+    for (std::thread &t : ts)
+        t.join();
+
+    for (int t = 0; t < kThreads; t++) {
+        EXPECT_TRUE(got[t].det == seq.det) << "thread " << t;
+        EXPECT_TRUE(sameAlarms(got[t].alarms, seq.alarms))
+            << "thread " << t;
+        EXPECT_EQ(got[t].runs, seq.runs) << "thread " << t;
+        EXPECT_EQ(got[t].events, seq.events) << "thread " << t;
+    }
     std::remove(path.c_str());
 }
 

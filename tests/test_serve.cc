@@ -591,6 +591,67 @@ TEST(Service, FourConcurrentStreamsTwoTenants)
     std::remove(dirty.c_str());
 }
 
+TEST(Service, TenantAlarmListIsBoundedButCountAndDigestCoverAll)
+{
+    CompiledProgram prog = compileAndAnalyze(kLoopProgram, "svc_loop");
+    std::string dirty =
+        capture(prog, "cap_dirty", 64, false, /*tamper=*/true);
+    Session off =
+        Session::builder().program(prog).plan(ReplayPlan(dirty))
+            .build();
+    off.run();
+    const std::vector<Alarm> &per = off.alarms();
+    ASSERT_FALSE(per.empty());
+    // Enough streams to overflow the retained list twice over.
+    const size_t streams =
+        2 * serve::kTenantAlarmsRetained / per.size() + 1;
+    std::vector<Alarm> all;
+    for (size_t i = 0; i < streams; i++)
+        all.insert(all.end(), per.begin(), per.end());
+    ASSERT_GT(all.size(), serve::kTenantAlarmsRetained);
+
+    serve::ServerConfig cfg;
+    cfg.socketPath = tmpPath("cap.sock");
+    serve::Server srv(prog, cfg);
+    srv.start();
+    for (size_t i = 0; i < streams; i++) {
+        serve::Client c;
+        connectRetry(c, cfg.socketPath);
+        c.hello("eve");
+        c.sendTraceFile(dirty);
+        serve::StreamResult r = c.end();
+        ASSERT_TRUE(r.ok) << r.text;
+    }
+    srv.waitForStreams(streams);
+    srv.stopAndJoin();
+
+    auto snap = srv.snapshot();
+    ASSERT_EQ(snap.size(), 1u);
+    EXPECT_EQ(snap[0].streams, streams);
+    EXPECT_EQ(snap[0].alarmCount, all.size());
+    EXPECT_EQ(snap[0].alarmDigest, serve::alarmDigest(all));
+    ASSERT_EQ(snap[0].alarms.size(), serve::kTenantAlarmsRetained);
+    const std::vector<Alarm> newest(
+        all.end() - serve::kTenantAlarmsRetained, all.end());
+    EXPECT_EQ(serve::alarmDigest(snap[0].alarms),
+              serve::alarmDigest(newest));
+    obs::MetricHandle h = snap[0].reg.find(obs::names::kTenantAlarms);
+    ASSERT_NE(h, obs::kNoMetric);
+    EXPECT_EQ(snap[0].reg.value(h), all.size());
+    std::istringstream statsz(srv.statszText());
+    std::string line, name;
+    uint64_t statszAlarms = 0;
+    while (std::getline(statsz, line)) {
+        std::istringstream fields(line);
+        if (fields >> name >> statszAlarms &&
+            name == obs::names::kTenantAlarms)
+            break;
+        statszAlarms = 0;
+    }
+    EXPECT_EQ(statszAlarms, all.size());
+    std::remove(dirty.c_str());
+}
+
 TEST(Service, DestroyWhileStreamsStillDecoding)
 {
     // Regression: destroying the Server while stream actors are

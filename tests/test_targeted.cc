@@ -26,6 +26,16 @@ struct Attack
     int64_t newValue;       ///< value written (8 bytes LE)
 };
 
+// gtest's default printer dumps the raw bytes of Attack, which include
+// pointer values and padding; that would make the discovered ctest
+// names differ on every build.
+void
+PrintTo(const Attack &atk, std::ostream *os)
+{
+    *os << atk.workload << ':' << atk.variable << '=' << atk.newValue
+        << '@' << atk.afterInput;
+}
+
 class TargetedAttackTest : public ::testing::TestWithParam<Attack>
 {};
 
