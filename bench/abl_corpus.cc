@@ -17,8 +17,7 @@
  * harness (gen::diffOne: switch vs threaded VM, fast vs reference
  * detector, capture vs replay) — the numbers are only reported over
  * demonstrably equivalent implementations ("differential":
- * "equivalent" in the JSON), the same discipline as abl_vm and
- * abl_replay.
+ * "equivalent" in the JSON), the same discipline as abl_vm.
  *
  * Emits machine-readable JSON, default BENCH_corpus.json.
  *

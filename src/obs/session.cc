@@ -37,61 +37,21 @@ Session::Builder::build()
     if (o.planCount > 1)
         fatal("Session: plans are mutually exclusive — configure "
               "exactly one plan()");
-    if (!o.capturePath.empty() && !o.replayPath.empty())
-        fatal("Session: captureTo() and replayFrom() are mutually "
-              "exclusive");
-    if (o.isServe) {
-        if (o.servePath.empty() && o.serveTcpHost.empty())
-            fatal("Session: a ServePlan needs a listener — a unix "
-                  "socket path and/or tcp(host, port)");
-        // Only reachable by mixing plan(ServePlan) with the
-        // deprecated shims; the plan types themselves cannot express
-        // these combinations.
-        if (!o.capturePath.empty() || !o.replayPath.empty())
-            fatal("Session: a ServePlan is mutually exclusive with "
-                  "capture/replay");
-        if (o.hasTamper || !o.extraTampers.empty() || o.hasFault ||
-            !o.extraObservers.empty())
-            fatal("Session: a ServePlan run has no VM — tamper(), "
-                  "faultPlan() and observe() do not apply");
-    }
+    if (o.isServe && o.servePath.empty() && o.serveTcpHost.empty())
+        fatal("Session: a ServePlan needs a listener — a unix socket "
+              "path and/or tcp(host, port)");
     if (!o.replayPath.empty()) {
-        if (o.hasFault)
-            fatal("Session: replayFrom() cannot combine with "
-                  "faultPlan() — faults are captured into the trace "
-                  "and reproduced from it");
-        if (o.hasTamper || !o.extraTampers.empty())
-            fatal("Session: replayFrom() cannot combine with "
-                  "tamper() (the tamper's effects are already in the "
-                  "recorded stream)");
-        if (!o.extraObservers.empty())
-            fatal("Session: replayFrom() cannot combine with "
-                  "observe() — replay has no VM to observe");
-        if ((o.replayParallel ? 1 : 0) +
-                (o.replaySeekSessionSet ? 1 : 0) +
-                (o.replaySeekChunkSet ? 1 : 0) > 1)
-            fatal("Session: ReplayPlan parallel(), seekSession() and "
-                  "seekChunk() are mutually exclusive");
-        // Recipe checks that need the capture's geometry read just
-        // the header now, so a bad plan fails at build() instead of
+        if (o.replaySeekSessionSet && o.replaySeekChunkSet)
+            fatal("Session: ReplayPlan seekSession() and seekChunk() "
+                  "are mutually exclusive");
+        // seekChunk() needs the capture's geometry: read just the
+        // header now, so a bad plan fails at build() instead of
         // mid-replay.
-        if ((o.replayParallel && o.replayWorkers > 0) ||
-            o.replaySeekChunkSet) {
-            replay::TraceMeta m =
-                replay::readTraceHeader(o.replayPath);
-            if (o.replayParallel && m.hasTiming &&
-                o.replayWorkers > m.shards)
-                fatal("Session: parallel(%u) exceeds the capture "
-                      "shard geometry — a timing trace parallelizes "
-                      "per capture shard and '%s' was recorded with "
-                      "%u shard(s)",
-                      o.replayWorkers, o.replayPath.c_str(),
-                      m.shards);
-            if (o.replaySeekChunkSet && m.hasTiming)
-                fatal("Session: seekChunk() is not available for "
-                      "timing traces (the CPU scoreboard is not "
-                      "snapshotted) — use seekSession()");
-        }
+        if (o.replaySeekChunkSet &&
+            replay::readTraceHeader(o.replayPath).hasTiming)
+            fatal("Session: seekChunk() is not available for timing "
+                  "traces (the CPU scoreboard is not snapshotted) — "
+                  "use seekSession()");
     }
     if (!o.detectorExplicit && o.useTiming)
         o.detectorOn = o.timingCfg.ipdsEnabled;
@@ -321,7 +281,7 @@ Session::runShard(uint32_t shard, ShardOut &out,
 Session &
 Session::run()
 {
-    if (opt.isServe || !opt.servePath.empty())
+    if (opt.isServe)
         return runServe();
     if (!opt.replayPath.empty())
         return runReplay();
@@ -468,10 +428,10 @@ Session::runReplay()
     traceLog.clear();
     traceLost = 0;
 
-    const bool wantIndex = opt.replayParallel ||
+    const bool seeking =
         opt.replaySeekSessionSet || opt.replaySeekChunkSet;
     replay::IndexedLoad idxInfo;
-    replay::TraceFile tf = wantIndex
+    replay::TraceFile tf = seeking
         ? replay::TraceFile::loadIndexed(opt.replayPath, &idxInfo)
         : replay::TraceFile::load(opt.replayPath);
     replay::ReplayEngine eng(tf, *opt.prog);
@@ -479,43 +439,37 @@ Session::runReplay()
     const std::vector<replay::ChunkRef> &chunks = tf.chunks();
 
     const uint64_t indexMissing =
-        (wantIndex ? idxInfo.usedIndex : tf.hasIndexFooter()) ? 0 : 1;
-    uint64_t seeks = 0;
+        (seeking ? idxInfo.usedIndex : tf.hasIndexFooter()) ? 0 : 1;
     uint64_t snapshotsUsed = 0;
-    uint64_t workersUsed = 1;
 
-    // Chunks sit in non-decreasing session order (shard streams
-    // concatenate in shard order), so a session's chunks are one
-    // contiguous range.
-    auto firstChunkOf = [&](uint32_t sess) {
-        return static_cast<size_t>(
-            std::lower_bound(chunks.begin(), chunks.end(), sess,
-                             [](const replay::ChunkRef &c,
-                                uint32_t s) {
-                                 return c.session < s;
-                             }) -
-            chunks.begin());
-    };
-
-    // Every mode funnels its results into per-capture-shard slots and
+    // Both modes funnel their results into per-capture-shard slots and
     // through the same registry block below, so the export shape (and
     // the serve mirror) never forks.
     std::vector<replay::ReplayShardResult> outs;
     auto t0 = std::chrono::steady_clock::now();
 
-    if (opt.replaySeekSessionSet || opt.replaySeekChunkSet) {
-        // ---- seek: one span cursor over the trace tail; earlier
-        // chunks are never read (the chunk meter proves the skip).
-        outs.resize(1);
-        seeks = 1;
+    if (seeking) {
+        // ---- seek: one span cursor over the trace tail, from the
+        // first chunk of a session; earlier chunks are never read (the
+        // chunk meter proves the skip).
+        size_t from;
+        uint32_t sess;
         if (opt.replaySeekSessionSet) {
-            uint32_t s = opt.replaySeekSession;
-            if (s >= m.sessions)
+            sess = opt.replaySeekSession;
+            if (sess >= m.sessions)
                 fatal("Session: seekSession(%u) out of range (trace "
                       "has %u sessions)",
-                      s, m.sessions);
-            eng.replayChunkRange(firstChunkOf(s), chunks.size(), s,
-                                 m.sessions, outs[0]);
+                      sess, m.sessions);
+            // Chunks sit in non-decreasing session order (shard
+            // streams concatenate in shard order), so a session's
+            // chunks are one contiguous range.
+            from = static_cast<size_t>(
+                std::lower_bound(chunks.begin(), chunks.end(), sess,
+                                 [](const replay::ChunkRef &c,
+                                    uint32_t s) {
+                                     return c.session < s;
+                                 }) -
+                chunks.begin());
         } else {
             if (opt.replaySeekChunk >= chunks.size())
                 fatal("Session: seekChunk(%llu) out of range (trace "
@@ -527,23 +481,22 @@ Session::runReplay()
                 fatal("Session: seekChunk() is not available for "
                       "timing traces (the CPU scoreboard is not "
                       "snapshotted) — use seekSession()");
-            const size_t k =
-                static_cast<size_t>(opt.replaySeekChunk);
-            const uint32_t sess = chunks[k].session;
-            size_t sessStart = k;
-            while (sessStart > 0 &&
-                   chunks[sessStart - 1].session == sess)
-                sessStart--;
+            from = static_cast<size_t>(opt.replaySeekChunk);
+            sess = chunks[from].session;
+            while (from > 0 && chunks[from - 1].session == sess)
+                from--;
+        }
+        replay::ReplayEngine::ShardCursor cur(eng, sess, m.sessions);
 
-            // Nearest preceding snapshot-opened chunk of the same
-            // session; a damaged snapshot degrades to replaying the
-            // session from its start.
-            size_t from = sessStart;
-            bool resumed = false;
-            replay::SnapshotData sd;
-            for (size_t i = k + 1; i-- > sessStart;) {
+        if (opt.replaySeekChunkSet) {
+            // Resume from the nearest preceding snapshot-opened chunk
+            // of the same session; a damaged snapshot degrades to
+            // replaying the session from its start.
+            const size_t k = static_cast<size_t>(opt.replaySeekChunk);
+            for (size_t i = k + 1; i-- > from;) {
                 if (!(chunks[i].flags & replay::kChunkHasSnapshot))
                     continue;
+                replay::SnapshotData sd;
                 try {
                     if (tf.crcDeferred())
                         tf.checkChunkCrc(chunks[i]);
@@ -557,108 +510,24 @@ Session::runReplay()
                         r.bytes(static_cast<size_t>(len));
                     replay::decodeSnapshot(
                         blob, static_cast<size_t>(len), sd);
-                    from = i;
-                    resumed = true;
                 } catch (const FatalError &) {
-                    // fall back to the session start
+                    break; // fall back to the session start
+                }
+                if (sd.hasDetector && i > from) {
+                    cur.resume(sess, sd.det);
+                    snapshotsUsed = 1;
+                    from = i;
                 }
                 break;
             }
-
-            replay::ReplayEngine::ShardCursor cur(eng, sess,
-                                                  m.sessions);
-            if (resumed && sd.hasDetector && from > sessStart) {
-                cur.resume(sess, sd.det);
-                snapshotsUsed = 1;
-            } else {
-                from = sessStart;
-            }
-            for (size_t i = from; i < chunks.size(); i++) {
-                if (tf.crcDeferred())
-                    tf.checkChunkCrc(chunks[i]);
-                cur.feed(chunks[i], tf.payload(chunks[i]));
-            }
-            cur.finish();
-            outs[0] = std::move(cur.result());
         }
-    } else if (opt.replayParallel && idxInfo.usedIndex) {
-        // ---- parallel: detector-only traces split per session (each
-        // session's detector starts fresh); timing traces split per
-        // capture shard (the CpuModel persists across a shard's
-        // sessions). Units merge back into capture-shard slots in
-        // session order, so every aggregate is bit-identical to the
-        // sequential replay at any worker count.
-        struct Unit
-        {
-            size_t chunkBegin, chunkEnd;
-            uint32_t sessBegin, sessEnd;
-        };
-        std::vector<Unit> units;
-        if (m.hasTiming) {
-            for (uint32_t s = 0; s < m.shards; s++) {
-                uint32_t b = static_cast<uint32_t>(
-                    uint64_t(s) * m.sessions / m.shards);
-                uint32_t e = static_cast<uint32_t>(
-                    uint64_t(s + 1) * m.sessions / m.shards);
-                if (b == e)
-                    continue;
-                units.push_back(
-                    {firstChunkOf(b), firstChunkOf(e), b, e});
-            }
-        } else {
-            for (uint32_t s = 0; s < m.sessions; s++)
-                units.push_back(
-                    {firstChunkOf(s), firstChunkOf(s + 1), s, s + 1});
+        for (size_t i = from; i < chunks.size(); i++) {
+            if (tf.crcDeferred())
+                tf.checkChunkCrc(chunks[i]);
+            cur.feed(chunks[i], tf.payload(chunks[i]));
         }
-
-        unsigned workers = opt.replayWorkers
-            ? opt.replayWorkers
-            : ThreadPool::defaultWorkers();
-        if (workers > units.size())
-            workers = static_cast<unsigned>(units.size());
-        if (workers == 0)
-            workers = 1;
-        workersUsed = workers;
-
-        std::vector<replay::ReplayShardResult> unitOuts(units.size());
-        {
-            ThreadPool pool(workers);
-            pool.parallelFor(
-                static_cast<uint32_t>(units.size()),
-                [&](uint32_t u) {
-                    const Unit &w = units[u];
-                    eng.replayChunkRange(w.chunkBegin, w.chunkEnd,
-                                         w.sessBegin, w.sessEnd,
-                                         unitOuts[u]);
-                });
-        }
-
-        outs.resize(m.shards);
-        size_t u = 0;
-        for (uint32_t s = 0; s < m.shards; s++) {
-            const uint32_t e = static_cast<uint32_t>(
-                uint64_t(s + 1) * m.sessions / m.shards);
-            replay::ReplayShardResult &dst = outs[s];
-            for (; u < units.size() && units[u].sessEnd <= e; u++) {
-                replay::ReplayShardResult &src = unitOuts[u];
-                dst.det.merge(src.det);
-                dst.tim.merge(src.tim);
-                dst.fault.merge(src.fault);
-                dst.alarms.insert(dst.alarms.end(),
-                                  src.alarms.begin(),
-                                  src.alarms.end());
-                dst.runs += src.runs;
-                dst.steps += src.steps;
-                dst.inputEvents += src.inputEvents;
-                dst.vmInstructions += src.vmInstructions;
-                dst.vmBlocks += src.vmBlocks;
-                dst.vmFlushes += src.vmFlushes;
-                dst.chunks += src.chunks;
-                dst.bytes += src.bytes;
-                dst.events += src.events;
-                dst.snapshots += src.snapshots;
-            }
-        }
+        cur.finish();
+        outs.push_back(std::move(cur.result()));
     } else {
         // ---- sequential (also the v1 / damaged-footer fallback).
         // Shard partition comes from the capture (aggregates are a
@@ -720,10 +589,9 @@ Session::runReplay()
     registry.add(registry.counter(n::kReplayVersionMismatches), 0);
     registry.add(registry.counter(n::kReplayIndexMissing),
                  indexMissing);
-    registry.add(registry.counter(n::kReplaySeeks), seeks);
+    registry.add(registry.counter(n::kReplaySeeks), seeking ? 1 : 0);
     registry.add(registry.counter(n::kReplaySnapshotsUsed),
                  snapshotsUsed);
-    registry.set(registry.gauge(n::kReplayWorkers), workersUsed);
     registry.set(registry.gauge(n::kReplayEventsPerSec),
                  secs > 0.0 ? static_cast<uint64_t>(totalEvents / secs)
                             : 0);

@@ -49,10 +49,6 @@
  * The plan types make incompatible recipes unrepresentable: a
  * ReplayPlan has nowhere to hang a tamper() (the tamper's effects are
  * already in the recorded stream), a ServePlan has no observer hook.
- * The pre-plan mode setters (tamper(), faultPlan(), recordTrace(),
- * observe(), captureTo(), replayFrom()) remain as deprecated shims
- * that forward into the equivalent plan; mixing them badly still
- * fails at build() with the original diagnostics.
  *
  * Sharding semantics match the fig9 harness exactly: the session
  * stream splits into a FIXED number of shards (never derived from the
@@ -204,7 +200,7 @@ struct CapturePlan
  * Replay plan: re-detect a trace recorded by a CapturePlan instead of
  * executing the VM. The trace header supplies sessions, shards and
  * the TimingConfig (so sessions()/shards()/timing() are ignored);
- * threads() still selects replay parallelism, with the usual
+ * threads() spreads the capture shards over workers, with the usual
  * shard-order deterministic join. Alarms, DetectorStats, TimingStats,
  * FaultStats and the shared metrics come out bit-identical to the
  * capture run; result() stays empty (there is no VM output to
@@ -217,25 +213,11 @@ struct ReplayPlan
 {
     explicit ReplayPlan(std::string path_) : path(std::move(path_)) {}
 
-    /**
-     * Parallel mode: load the trace through its v2 chunk-index footer
-     * and replay per-session (detector-only) or per-capture-shard
-     * (timing) work units on @p workers ThreadPool workers
-     * (0 = one per hardware core). Results merge in session order and
-     * are bit-identical to the sequential replay at any worker count.
-     * v1 traces (no footer) degrade to the sequential path with
-     * ipds.replay.index_missing = 1. Mutually exclusive with the seek
-     * entry points below.
-     */
-    ReplayPlan &parallel(unsigned workers = 0)
-    {
-        parallelSet = true;
-        parallelWorkers = workers;
-        return *this;
-    }
-
     /** Start replay at session @p s, skipping every earlier chunk
-     *  (the index makes the skip O(1) in decoded bytes). */
+     *  (the index makes the skip O(1) in decoded bytes). A v1 trace
+     *  (no index footer) is scanned instead, with
+     *  ipds.replay.index_missing = 1. Mutually exclusive with
+     *  seekChunk(). */
     ReplayPlan &seekSession(uint32_t s)
     {
         hasSeekSession = true;
@@ -259,8 +241,6 @@ struct ReplayPlan
     }
 
     std::string path;
-    bool parallelSet = false;
-    unsigned parallelWorkers = 0;
     bool hasSeekSession = false;
     uint32_t seekSessionIdx = 0;
     bool hasSeekChunk = false;
@@ -300,10 +280,9 @@ struct ServePlan
 
     /**
      * Register an additional module in the server's registry, keyed
-     * by FNV-1a content hash: Hello v2 streams route to the module
+     * by FNV-1a content hash: Hello2 streams route to the module
      * matching their hash. The Builder's program() is always
-     * registered (and serves v1 Hello streams). @p prog must outlive
-     * run().
+     * registered. @p prog must outlive run().
      */
     ServePlan &alsoServe(const CompiledProgram &prog)
     {
@@ -376,7 +355,8 @@ class Session
     /** Timing aggregates (zero unless timing() was configured). */
     const TimingStats &timingStats() const { return timStat; }
 
-    /** Injection aggregates (zero unless faultPlan() was enabled). */
+    /** Injection aggregates (zero unless ExecPlan::faults() was
+     *  enabled). */
     const FaultStats &faultStats() const { return fltStat; }
 
     /** VM result of session 0 (output, exit code, branch trace). */
@@ -444,8 +424,6 @@ class Session
         std::string capturePath; ///< record a trace (CapturePlan)
         uint32_t captureSnapshotEvery = 4;
         std::string replayPath;  ///< replay a trace (ReplayPlan)
-        bool replayParallel = false;
-        unsigned replayWorkers = 0;
         bool replaySeekSessionSet = false;
         uint32_t replaySeekSession = 0;
         bool replaySeekChunkSet = false;
@@ -595,8 +573,6 @@ class Session::Builder
     {
         o.planCount++;
         o.replayPath = std::move(p.path);
-        o.replayParallel = p.parallelSet;
-        o.replayWorkers = p.parallelWorkers;
         o.replaySeekSessionSet = p.hasSeekSession;
         o.replaySeekSession = p.seekSessionIdx;
         o.replaySeekChunkSet = p.hasSeekChunk;
@@ -616,65 +592,6 @@ class Session::Builder
         o.serveMaxFrame = p.maxFrame;
         o.servePendingCap = p.pendingCap;
         o.serveStopAfter = p.stopAfter;
-        return *this;
-    }
-
-    // ---- deprecated pre-plan mode setters ---------------------------
-    //
-    // Shims for source compatibility: each forwards into the same
-    // Options fields its plan-based replacement writes, and build()
-    // still rejects the historically-invalid combinations with the
-    // original diagnostics. New code composes a typed plan instead —
-    // the plan types make those combinations unrepresentable.
-
-    /** @deprecated Use plan(ExecPlan().tamper(spec)). */
-    [[deprecated("use plan(ExecPlan().tamper(spec))")]]
-    Builder &tamper(const TamperSpec &spec)
-    {
-        o.hasTamper = true;
-        o.tamperSpec = spec;
-        return *this;
-    }
-
-    /** @deprecated Use plan(ExecPlan().faults(p)). */
-    [[deprecated("use plan(ExecPlan().faults(p))")]]
-    Builder &faultPlan(const FaultPlan &p)
-    {
-        o.hasFault = p.enabled();
-        o.fault = p;
-        return *this;
-    }
-
-    /** @deprecated Use plan(ExecPlan().recordTrace(on)). */
-    [[deprecated("use plan(ExecPlan().recordTrace(on))")]]
-    Builder &recordTrace(bool on)
-    {
-        o.recordTrace = on;
-        o.recordTraceExplicit = true;
-        return *this;
-    }
-
-    /** @deprecated Use plan(ExecPlan().observe(obs)). */
-    [[deprecated("use plan(ExecPlan().observe(obs))")]]
-    Builder &observe(ExecObserver *obs)
-    {
-        o.extraObservers.push_back(obs);
-        return *this;
-    }
-
-    /** @deprecated Use plan(CapturePlan(path)). */
-    [[deprecated("use plan(CapturePlan(path))")]]
-    Builder &captureTo(const std::string &path)
-    {
-        o.capturePath = path;
-        return *this;
-    }
-
-    /** @deprecated Use plan(ReplayPlan(path)). */
-    [[deprecated("use plan(ReplayPlan(path))")]]
-    Builder &replayFrom(const std::string &path)
-    {
-        o.replayPath = path;
         return *this;
     }
 

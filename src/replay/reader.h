@@ -115,9 +115,9 @@ class TraceFile
      * Load @p path through the v2 chunk-index footer when present and
      * valid: the chunk index comes straight from the footer (one
      * CRC-checked read) and per-chunk payload CRC verification is
-     * deferred to first touch (checkChunkCrc) — the single-pass win
-     * parallel replay splits across its workers. A missing, truncated
-     * or inconsistent footer degrades to the full sequential scan
+     * deferred to first touch (checkChunkCrc), so a seek verifies
+     * only the chunks it decodes. A missing, truncated or
+     * inconsistent footer degrades to the full sequential scan
      * (info->usedIndex=false with the reason); it never fails a file
      * the strict loader would accept.
      */

@@ -73,7 +73,7 @@ ReplayEngine::ShardCursor::ShardCursor(const ReplayEngine &e,
 ReplayEngine::ShardCursor::ShardCursor(const ReplayEngine &e,
                                        uint32_t begin_session,
                                        uint32_t end_session)
-    : eng(e), shard_(0xFFFFFFFFu)
+    : eng(e), shard_(kSpanCursor)
 {
     const TraceMeta &m = eng.meta_;
     if (begin_session >= end_session || end_session > m.sessions)
@@ -84,6 +84,14 @@ ReplayEngine::ShardCursor::ShardCursor(const ReplayEngine &e,
     expectNext = begin_;
     if (m.hasTiming)
         cpu.emplace(m.timing);
+}
+
+std::string
+ReplayEngine::ShardCursor::owner() const
+{
+    return shard_ == kSpanCursor
+        ? strprintf("session span [%u, %u)", begin_, end_)
+        : strprintf("shard %u [%u, %u)", shard_, begin_, end_);
 }
 
 void
@@ -122,9 +130,8 @@ ReplayEngine::ShardCursor::feed(const ChunkRef &c,
     if (finished)
         fatal("replay: feed() after finish()");
     if (c.session < begin_ || c.session >= end_)
-        fatal("replay: chunk for session %u routed to shard %u "
-              "[%u, %u)",
-              c.session, shard_, begin_, end_);
+        fatal("replay: chunk for session %u routed to %s", c.session,
+              owner().c_str());
     out.chunks++;
     out.bytes += kChunkHeaderBytes + c.payloadLen;
     out.events += c.events;
@@ -339,10 +346,10 @@ ReplayEngine::ShardCursor::feed(const ChunkRef &c,
             break;
           }
           case Tag::Snapshot: {
-            // Resume metadata, not an event: sequential replay and
-            // parallel spans that already cover the prefix skip the
-            // blob (counted — ipds.replay.snapshots_written must
-            // round-trip); only the seek path decodes one.
+            // Resume metadata, not an event: a cursor that already
+            // covers the prefix skips the blob (counted —
+            // ipds.replay.snapshots_written must round-trip); only
+            // the seek path decodes one, before feeding.
             if (eng.meta_.version < 2)
                 fatal("trace: snapshot record in a v%u trace",
                       eng.meta_.version);
@@ -367,7 +374,8 @@ ReplayEngine::ShardCursor::finish()
     if (open)
         fatal("trace: truncated (a session has no end record)");
     if (out.runs != end_ - begin_)
-        fatal("trace: shard %u replayed %llu of %u sessions", shard_,
+        fatal("trace: %s replayed %llu of %u sessions",
+              owner().c_str(),
               static_cast<unsigned long long>(out.runs),
               end_ - begin_);
 
@@ -388,30 +396,6 @@ ReplayEngine::replayShard(uint32_t shard, ReplayShardResult &out) const
     ShardCursor cur(*this, shard);
     for (const ChunkRef &c : file_->chunks()) {
         if (c.session < cur.begin() || c.session >= cur.end())
-            continue;
-        if (file_->crcDeferred())
-            file_->checkChunkCrc(c);
-        cur.feed(c, file_->payload(c));
-    }
-    cur.finish();
-    out = std::move(cur.result());
-}
-
-void
-ReplayEngine::replayChunkRange(size_t chunkBegin, size_t chunkEnd,
-                               uint32_t begin_session,
-                               uint32_t end_session,
-                               ReplayShardResult &out) const
-{
-    if (!file_)
-        fatal("replay: replayChunkRange on a streaming engine");
-    ShardCursor cur(*this, begin_session, end_session);
-    const std::vector<ChunkRef> &chunks = file_->chunks();
-    if (chunkEnd > chunks.size())
-        chunkEnd = chunks.size();
-    for (size_t i = chunkBegin; i < chunkEnd; ++i) {
-        const ChunkRef &c = chunks[i];
-        if (c.session < begin_session || c.session >= end_session)
             continue;
         if (file_->crcDeferred())
             file_->checkChunkCrc(c);

@@ -48,6 +48,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "core/program.h"
@@ -115,19 +116,6 @@ class ReplayEngine
     void replayShard(uint32_t shard, ReplayShardResult &out) const;
 
     /**
-     * Replay chunks [chunkBegin, chunkEnd) of the loaded file that
-     * belong to sessions [begin_session, end_session) into @p out —
-     * the parallel-mode work unit. Chunk payload CRCs deferred by an
-     * indexed load are verified here, inside the worker's span, so
-     * integrity checking parallelizes with decoding. Const and
-     * self-contained: ranges replay concurrently.
-     */
-    void replayChunkRange(size_t chunkBegin, size_t chunkEnd,
-                          uint32_t begin_session,
-                          uint32_t end_session,
-                          ReplayShardResult &out) const;
-
-    /**
      * Push-style decoder for one shard: feed() chunks in file order,
      * then finish() once. The chunk-iteration body of replayShard()
      * and the service's ingest actors are the same code path. Holds a
@@ -142,8 +130,8 @@ class ReplayEngine
 
         /**
          * Span mode: own sessions [begin_session, end_session)
-         * directly instead of a capture shard's partition (parallel
-         * work units, --seek-session).
+         * directly instead of a capture shard's partition (the seek
+         * modes: --seek-session and --seek-chunk).
          */
         ShardCursor(const ReplayEngine &eng, uint32_t begin_session,
                     uint32_t end_session);
@@ -182,6 +170,13 @@ class ReplayEngine
         const ReplayShardResult &result() const { return out; }
 
       private:
+        /** shard_ of a span-mode cursor, which has no capture shard. */
+        static constexpr uint32_t kSpanCursor = 0xFFFFFFFFu;
+
+        /** "shard K [b, e)" or "session span [b, e)", for
+         *  diagnostics. */
+        std::string owner() const;
+
         const ReplayEngine &eng;
         uint32_t shard_;
         uint32_t begin_;

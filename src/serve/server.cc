@@ -184,9 +184,8 @@ struct Server::Impl
     ServerConfig cfg;
 
     // Module registry: immutable once start() runs, so actors read it
-    // without a lock. regOrder.front() serves v1 Hello streams.
+    // without a lock.
     std::unordered_map<uint64_t, const CompiledProgram *> modules;
-    std::vector<const CompiledProgram *> regOrder;
 
     int listenFd = -1;
     int tcpFd = -1;
@@ -635,7 +634,6 @@ struct Server::Impl
                  s->sawFooter ? 0 : 1);
         sreg.add(sreg.counter(n::kReplaySeeks), 0);
         sreg.add(sreg.counter(n::kReplaySnapshotsUsed), 0);
-        sreg.set(sreg.gauge(n::kReplayWorkers), 1);
         sreg.set(sreg.gauge(n::kReplayEventsPerSec),
                  secs > 0.0
                      ? static_cast<uint64_t>(totalEvents / secs)
@@ -851,29 +849,6 @@ struct Server::Impl
                     wire::kFrameHeaderBytes + f.payloadLen);
         }
         switch (f.type) {
-          case wire::FrameType::Hello: {
-            if (c.stream) {
-                rejectConn(c, wire::ErrorCode::Protocol,
-                           "protocol: duplicate Hello", false,
-                           false);
-                return;
-            }
-            if (f.payloadLen == 0 || f.payloadLen > 256) {
-                rejectConn(c, wire::ErrorCode::Protocol,
-                           "protocol: bad tenant name", false,
-                           false);
-                return;
-            }
-            // v1 Hello carries no module hash: route to the first
-            // registered module (single-program servers keep their
-            // PR 6 wire behavior).
-            openStream(c,
-                       std::string(reinterpret_cast<const char *>(
-                                       f.payload),
-                                   f.payloadLen),
-                       regOrder.front(), 0, 0);
-            break;
-          }
           case wire::FrameType::Hello2:
             handleHello2(c, f);
             break;
@@ -935,7 +910,7 @@ struct Server::Impl
         }
     }
 
-    /** Attach a fresh stream to @p c (both Hello versions land here). */
+    /** Attach a fresh stream to @p c (a Hello2 that is no resume). */
     void openStream(Conn &c, std::string tenant,
                     const CompiledProgram *prog, uint64_t moduleHash,
                     uint64_t resumeToken)
@@ -1432,8 +1407,7 @@ Server::registerModule(const CompiledProgram &prog)
     if (im.started)
         fatal("serve: registerModule() after start()");
     uint64_t h = prog.contentHash();
-    if (im.modules.emplace(h, &prog).second)
-        im.regOrder.push_back(&prog);
+    im.modules.emplace(h, &prog);
 }
 
 uint16_t
@@ -1466,7 +1440,7 @@ Server::start()
     if (im.cfg.socketPath.empty() && im.cfg.tcpHost.empty())
         fatal("serve: no listener configured (socketPath or "
               "tcpHost)");
-    if (im.regOrder.empty())
+    if (im.modules.empty())
         fatal("serve: no module registered");
 
     if (!im.cfg.socketPath.empty()) {

@@ -168,10 +168,10 @@ class Server
     /**
      * Add @p prog to the module registry, keyed by its FNV-1a content
      * hash (the memoized CompiledProgram::contentHash(), so every stream's
-     * ReplayEngine over @p prog is O(1)). Hello v2 streams route to the
-     * module matching their hash; v1 Hello streams get the first
-     * registered module. Must be called before start(); @p prog must
-     * outlive the server. Re-registering the same hash is a no-op.
+     * ReplayEngine over @p prog is O(1)). Hello2 streams route to the
+     * module matching their hash. Must be called before start();
+     * @p prog must outlive the server. Re-registering the same hash
+     * is a no-op.
      */
     void registerModule(const CompiledProgram &prog);
 

@@ -225,7 +225,7 @@ TEST(Corpus, ServedStreamMatchesOfflineReplay)
         srv.start();
         serve::Client c;
         connectRetry(c, cfg.socketPath);
-        c.hello("corpus");
+        c.helloV2("corpus", prog.contentHash());
         c.sendTraceFile(path);
         serve::StreamResult r = c.end();
         srv.stopAndJoin();

@@ -2,8 +2,8 @@
  * @file
  * Trace capture & replay suite (ctest label `replay`).
  *
- * The standing contract under test: a Session run recorded with
- * captureTo() and replayed with replayFrom() reproduces alarms,
+ * The standing contract under test: a Session run recorded through a
+ * CapturePlan and replayed through a ReplayPlan reproduces alarms,
  * DetectorStats, TimingStats, FaultStats and the shared metrics
  * BIT-IDENTICALLY, with no VM in the loop; captures are byte-identical
  * across VM engines and delivery modes; sharded replay is
@@ -19,9 +19,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <latch>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/program.h"
@@ -475,56 +477,6 @@ expectBuildFatal(Session::Builder b, const char *what)
 
 } // namespace
 
-// The pre-plan setters remain as deprecated shims; they must still
-// compile, behave identically, and hit the same build()-time guards.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(ReplayBuilder, IncompatibleRecipesAreRejected)
-{
-    CompiledProgram prog =
-        compileAndAnalyze(kLoopProgram, "replay_loop");
-    expectBuildFatal(Session::builder()
-                         .program(prog)
-                         .captureTo("a.trc")
-                         .replayFrom("b.trc"),
-                     "mutually exclusive");
-    expectBuildFatal(Session::builder()
-                         .program(prog)
-                         .replayFrom("b.trc")
-                         .faultPlan(FaultPlan::fromSeed(3)),
-                     "faultPlan");
-    TamperSpec spec;
-    expectBuildFatal(Session::builder().program(prog).replayFrom(
-                         "b.trc").tamper(spec),
-                     "tamper");
-}
-
-TEST(ReplayBuilder, DeprecatedShimsStillCaptureAndReplay)
-{
-    // The one retained exercise of the old spelling end to end: a
-    // shim-built capture must stay bit-identical to a plan-built
-    // replay (and vice versa), so migration is purely mechanical.
-    CompiledProgram prog =
-        compileAndAnalyze(kLoopProgram, "replay_loop");
-    std::string path = tmpTracePath("shim");
-    Session live = Session::builder()
-                       .program(prog)
-                       .inputs(kLoopInputs)
-                       .sessions(2)
-                       .captureTo(path)
-                       .build();
-    live.run();
-    Session rep = Session::builder()
-                      .program(prog)
-                      .plan(ReplayPlan(path))
-                      .build();
-    rep.run();
-    EXPECT_TRUE(rep.detectorStats() == live.detectorStats());
-    EXPECT_TRUE(sameAlarms(rep.alarms(), live.alarms()));
-    std::remove(path.c_str());
-}
-#pragma GCC diagnostic pop
-
 TEST(ReplayBuilder, MixedPlansAreRejected)
 {
     CompiledProgram prog =
@@ -539,15 +491,22 @@ TEST(ReplayBuilder, MixedPlansAreRejected)
                          .plan(ExecPlan())
                          .plan(ServePlan("s.sock")),
                      "mutually exclusive");
+    expectBuildFatal(Session::builder().program(prog).plan(
+                         ReplayPlan("b.trc").seekSession(1).seekChunk(0)),
+                     "mutually exclusive");
 }
 
 // ------------------------------------------------- corrupt traces
 
-/** One small captured trace, reused by the rejection tests. */
+/** One small captured trace, reused by the rejection tests. The
+ *  file is named after the running test: ctest runs tests of this
+ *  binary concurrently, and they capture different programs. */
 std::vector<uint8_t>
 captureSmallTrace(const CompiledProgram &prog)
 {
-    std::string path = tmpTracePath("reject");
+    std::string path = tmpTracePath(
+        std::string("reject_") +
+        testing::UnitTest::GetInstance()->current_test_info()->name());
     Session::builder()
         .program(prog)
         .inputs(kLoopInputs)
@@ -771,6 +730,106 @@ TEST(ReplayIdentity, ProgramAtAFreedAddressGetsItsOwnIdentity)
     auto next = std::make_unique<CompiledProgram>(
         compileAndAnalyze(kOtherProgram, "id_other"));
     expectOwnsTrace(*next, captureSmallTrace(*next), loopTrace);
+}
+
+TEST(ReplayPar, ConcurrentFirstEnginesShareOneIdentity)
+{
+    // Four threads build the first ReplayEngines over one fresh const
+    // program at the same moment, so the lazy identity is computed
+    // under a race (TSan runs this label), then each replays the
+    // trace. Every result must equal a sequential replay.
+    const Workload &wl = workloadByName("telnetd");
+    CompiledProgram captured = compileAndAnalyze(wl.source, wl.name);
+    std::string path = tmpTracePath("par_identity");
+    Session::builder()
+        .program(captured)
+        .inputs(wl.benignInputs)
+        .sessions(4)
+        .shards(2)
+        .plan(CapturePlan(path))
+        .build()
+        .run();
+    const replay::TraceFile file = replay::TraceFile::load(path);
+
+    auto replayAll = [&file](const CompiledProgram &prog) {
+        replay::ReplayEngine eng(file, prog);
+        replay::ReplayShardResult all;
+        for (uint32_t s = 0; s < eng.shards(); s++) {
+            replay::ReplayShardResult r;
+            eng.replayShard(s, r);
+            all.det.merge(r.det);
+            all.alarms.insert(all.alarms.end(), r.alarms.begin(),
+                              r.alarms.end());
+            all.runs += r.runs;
+            all.events += r.events;
+        }
+        return all;
+    };
+    const replay::ReplayShardResult seq = replayAll(captured);
+    ASSERT_EQ(seq.runs, 4u);
+
+    const CompiledProgram fresh = compileAndAnalyze(wl.source, wl.name);
+    constexpr int kThreads = 4;
+    std::latch start(kThreads);
+    std::vector<replay::ReplayShardResult> got(kThreads);
+    std::vector<std::thread> ts;
+    for (int t = 0; t < kThreads; t++)
+        ts.emplace_back([&, t] {
+            start.arrive_and_wait();
+            got[t] = replayAll(fresh);
+        });
+    for (std::thread &t : ts)
+        t.join();
+
+    for (int t = 0; t < kThreads; t++) {
+        EXPECT_TRUE(got[t].det == seq.det) << "thread " << t;
+        EXPECT_TRUE(sameAlarms(got[t].alarms, seq.alarms))
+            << "thread " << t;
+        EXPECT_EQ(got[t].runs, seq.runs) << "thread " << t;
+        EXPECT_EQ(got[t].events, seq.events) << "thread " << t;
+    }
+    std::remove(path.c_str());
+}
+
+TEST(ReplayPar, V1TraceFallsBackToSequentialWithIndexMissing)
+{
+    // A v1 trace has no footer: it must still replay (sequentially)
+    // and flag the missing index in the metrics.
+    const Workload &wl = workloadByName("telnetd");
+    CompiledProgram prog = compileAndAnalyze(wl.source, wl.name);
+    std::string path = tmpTracePath("par_v1fallback");
+    Session::builder()
+        .program(prog)
+        .inputs(wl.benignInputs)
+        .sessions(2)
+        .plan(CapturePlan(path))
+        .build()
+        .run();
+
+    // Strip the trace back to v1: drop the index footer + trailer and
+    // reseal the header with version 1.
+    {
+        std::vector<uint8_t> bytes = readBytes(path);
+        size_t footerOff = static_cast<size_t>(
+            replay::getU64(bytes.data() + bytes.size() - 8));
+        bytes.resize(footerOff);
+        replay::putU32(bytes.data() + 8, 1); // version word
+        replay::putU32(bytes.data() + 36,
+                       replay::crc32(bytes.data(), 36));
+        writeBytes(path, bytes);
+    }
+
+    Session rep = Session::builder()
+                      .program(prog)
+                      .plan(ReplayPlan(path))
+                      .build();
+    rep.run();
+    namespace n = obs::names;
+    const obs::MetricsRegistry &m = rep.metrics();
+    EXPECT_EQ(m.value(m.find(n::kReplayIndexMissing)), 1u);
+    EXPECT_EQ(m.value(m.find(n::kSessRuns)), 2u);
+    EXPECT_GT(rep.detectorStats().branchesSeen, 0u);
+    std::remove(path.c_str());
 }
 
 TEST(ReplayReject, CorruptPayloadCannotReachDetectorPanics)
@@ -1004,14 +1063,14 @@ TEST(ReplayIndex, CorruptedFooterDegradesToSequentialScan)
     EXPECT_FALSE(idx.crcDeferred());
     EXPECT_EQ(idx.chunks().size(), nChunks);
 
-    // End to end: a parallel ReplayPlan over the damaged file falls
-    // back to the sequential path, flags the miss, and still gets the
-    // right answer.
+    // End to end: a seek over the damaged file falls back to the
+    // sequential scan, flags the miss, and still gets the right
+    // answer.
     std::string path = tmpTracePath("bad_footer");
     writeBytes(path, bytes);
     Session rep = Session::builder()
                       .program(prog)
-                      .plan(ReplayPlan(path).parallel(2))
+                      .plan(ReplayPlan(path).seekSession(0))
                       .build();
     rep.run();
     namespace n = obs::names;
@@ -1221,6 +1280,88 @@ TEST(ReplaySeek, DamagedSnapshotFallsBackToSessionStart)
               nChunks - sessStart);
     EXPECT_EQ(part.detectorStats().branchesSeen * 2,
               full.detectorStats().branchesSeen);
+    std::remove(path.c_str());
+}
+
+TEST(ReplaySeek, SeekChunkIsRejectedForTimingTraces)
+{
+    // The CPU scoreboard is not snapshotted, so a mid-session resume
+    // of a timing trace is impossible: build() reads the header and
+    // rejects the plan up front. seekSession() resumes nothing and
+    // stays available.
+    CompiledProgram prog =
+        compileAndAnalyze(kLoopProgram, "replay_loop");
+    std::string path = tmpTracePath("seek_timing");
+    Session::builder()
+        .program(prog)
+        .inputs(kLoopInputs)
+        .timing(table1Config())
+        .sessions(2)
+        .plan(CapturePlan(path))
+        .build()
+        .run();
+    expectBuildFatal(Session::builder().program(prog).plan(
+                         ReplayPlan(path).seekChunk(1)),
+                     "timing traces");
+    Session ok = Session::builder()
+                     .program(prog)
+                     .plan(ReplayPlan(path).seekSession(1))
+                     .build();
+    ok.run();
+    EXPECT_GT(ok.detectorStats().branchesSeen, 0u);
+    std::remove(path.c_str());
+}
+
+TEST(ReplaySeek, SpanCursorDiagnosticsNameTheSessionSpan)
+{
+    // A seek cursor owns a session span, not a capture shard, so its
+    // diagnostics must name the span.
+    CompiledProgram prog =
+        compileAndAnalyze(kLoopProgram, "replay_loop");
+    std::vector<uint8_t> bytes = captureSmallTrace(prog); // 2 sessions
+    size_t cut = 0;
+    {
+        replay::TraceFile tf = replay::TraceFile::fromBytes(bytes);
+        const std::vector<replay::ChunkRef> &chunks = tf.chunks();
+        ASSERT_EQ(chunks.front().session, 0u);
+        size_t first1 = 0;
+        while (first1 < chunks.size() && chunks[first1].session == 0)
+            first1++;
+        ASSERT_LT(first1, chunks.size());
+        cut = chunks[first1].payloadOff - replay::kChunkHeaderBytes;
+
+        replay::ReplayEngine eng(tf, prog);
+        replay::ReplayEngine::ShardCursor cur(eng, 1, 2);
+        try {
+            cur.feed(chunks[0], tf.payload(chunks[0]));
+            FAIL() << "expected FatalError";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "chunk for session 0 routed to session "
+                          "span [1, 2)"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+
+    // Cut cleanly after session 0's chunks: a seek from session 0
+    // finds one of the two sessions its span owns.
+    bytes.resize(cut);
+    std::string path = tmpTracePath("span_cut");
+    writeBytes(path, bytes);
+    Session rep = Session::builder()
+                      .program(prog)
+                      .plan(ReplayPlan(path).seekSession(0))
+                      .build();
+    try {
+        rep.run();
+        FAIL() << "expected FatalError";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "session span [0, 2) replayed 1 of 2 sessions"),
+                  std::string::npos)
+            << e.what();
+    }
     std::remove(path.c_str());
 }
 

@@ -124,6 +124,23 @@ connectRetry(serve::Client &c, const std::string &sock)
     }
 }
 
+/**
+ * Open a stream with a Hello2 that declares no resume token: the
+ * server's non-resumable path, where a dropped or rejected connection
+ * fails the stream instead of parking it for a reconnect.
+ */
+void
+helloNoResume(serve::Client &c, const std::string &tenant,
+              uint64_t moduleHash)
+{
+    serve::wire::HelloV2 h;
+    h.tenant = tenant;
+    h.moduleHash = moduleHash;
+    std::vector<uint8_t> p = serve::wire::encodeHello2(h);
+    c.sendRaw(serve::wire::encodeFrame(serve::wire::FrameType::Hello2,
+                                       p.data(), p.size()));
+}
+
 /** Metric lines of a text blob, minus the wall-clock gauge. */
 std::string
 metricLines(const std::string &text)
@@ -317,7 +334,7 @@ TEST(Wire, RejectStatusesAreSticky)
         EXPECT_EQ(dec.next(f), serve::wire::DecodeStatus::BadMagic);
         // Sticky: even appending a valid frame cannot revive it.
         std::vector<uint8_t> ok = serve::wire::encodeTextFrame(
-            serve::wire::FrameType::Hello, "t");
+            serve::wire::FrameType::TraceData, "t");
         dec.append(ok.data(), ok.size());
         EXPECT_EQ(dec.next(f), serve::wire::DecodeStatus::BadMagic);
     }
@@ -332,18 +349,20 @@ TEST(Wire, RejectStatusesAreSticky)
     {
         serve::wire::FrameDecoder dec;
         std::vector<uint8_t> enc = serve::wire::encodeTextFrame(
-            serve::wire::FrameType::Hello, "tenant");
+            serve::wire::FrameType::TraceData, "tenant");
         enc[serve::wire::kFrameHeaderBytes + 1] ^= 0x80;
         dec.append(enc.data(), enc.size());
         EXPECT_EQ(dec.next(f), serve::wire::DecodeStatus::CrcMismatch);
     }
-    {
+    for (uint8_t type : {uint8_t(0x7f), uint8_t(1)}) {
+        // 0x7f was never assigned; 1 is the retired v1 Hello.
         serve::wire::FrameDecoder dec;
         std::vector<uint8_t> enc = serve::wire::encodeTextFrame(
-            serve::wire::FrameType::Hello, "t");
-        enc[4] = 0x7f; // unknown frame type
+            serve::wire::FrameType::TraceData, "t");
+        enc[4] = type;
         dec.append(enc.data(), enc.size());
-        EXPECT_EQ(dec.next(f), serve::wire::DecodeStatus::BadType);
+        EXPECT_EQ(dec.next(f), serve::wire::DecodeStatus::BadType)
+            << unsigned(type);
     }
 }
 
@@ -462,7 +481,7 @@ TEST(Service, StreamDetectionMatchesOfflineReplayBitForBit)
 
     serve::Client c;
     connectRetry(c, cfg.socketPath);
-    c.hello("tenant-a");
+    c.helloV2("tenant-a", prog.contentHash());
     // Tiny frames: the trace header itself spans several frames, so
     // ingest exercises the NeedMore path on every boundary.
     c.sendTraceFile(path, 64);
@@ -503,7 +522,7 @@ TEST(Service, TimingTraceStreamsBitIdentically)
     srv.start();
     serve::Client c;
     connectRetry(c, cfg.socketPath);
-    c.hello("t");
+    c.helloV2("t", prog.contentHash());
     c.sendTraceFile(path);
     serve::StreamResult r = c.end();
     srv.stopAndJoin();
@@ -546,7 +565,7 @@ TEST(Service, FourConcurrentStreamsTwoTenants)
     auto stream = [&](const char *tenant, const std::string &file) {
         serve::Client c;
         connectRetry(c, cfg.socketPath);
-        c.hello(tenant);
+        c.helloV2(tenant, prog.contentHash());
         c.sendTraceFile(file, 128);
         serve::StreamResult r = c.end();
         if (r.ok)
@@ -617,7 +636,7 @@ TEST(Service, TenantAlarmListIsBoundedButCountAndDigestCoverAll)
     for (size_t i = 0; i < streams; i++) {
         serve::Client c;
         connectRetry(c, cfg.socketPath);
-        c.hello("eve");
+        c.helloV2("eve", prog.contentHash());
         c.sendTraceFile(dirty);
         serve::StreamResult r = c.end();
         ASSERT_TRUE(r.ok) << r.text;
@@ -677,7 +696,8 @@ TEST(Service, DestroyWhileStreamsStillDecoding)
                     try {
                         serve::Client c;
                         connectRetry(c, cfg.socketPath);
-                        c.hello("t" + std::to_string(i));
+                        helloNoResume(c, "t" + std::to_string(i),
+                                      prog.contentHash());
                         c.sendTraceBytes(bytes.data(), bytes.size(),
                                          64);
                         c.end(); // server may stop mid-stream
@@ -715,8 +735,8 @@ TEST(Service, InterleavedTenantsOnTheSameWireStaySeparate)
     serve::Client a, b;
     connectRetry(a, cfg.socketPath);
     connectRetry(b, cfg.socketPath);
-    a.hello("alice");
-    b.hello("bob");
+    a.helloV2("alice", prog.contentHash());
+    b.helloV2("bob", prog.contentHash());
     size_t offA = 0, offB = 0;
     const size_t step = 48;
     while (offA < cleanBytes.size() || offB < dirtyBytes.size()) {
@@ -757,7 +777,7 @@ TEST(Service, PartialFrameAtDropFailsTheStreamAsTruncation)
 
     serve::Client c;
     connectRetry(c, cfg.socketPath);
-    c.hello("t");
+    helloNoResume(c, "t", prog.contentHash());
     // A full TraceData frame, then HALF of another: drop mid-frame.
     std::vector<uint8_t> wireBytes;
     serve::wire::appendFrame(wireBytes,
@@ -792,7 +812,7 @@ TEST(Service, OversizedFrameIsRejectedBeforeBuffering)
 
     serve::Client c;
     connectRetry(c, cfg.socketPath);
-    c.hello("t");
+    helloNoResume(c, "t", prog.contentHash());
     std::vector<uint8_t> big(4096, 0xab);
     c.sendRaw(serve::wire::encodeFrame(
         serve::wire::FrameType::TraceData, big.data(), big.size()));
@@ -829,7 +849,7 @@ TEST(Service, FrameCrcMismatchRejectsTheStream)
 
     serve::Client c;
     connectRetry(c, cfg.socketPath);
-    c.hello("t");
+    helloNoResume(c, "t", prog.contentHash());
     std::vector<uint8_t> frame = serve::wire::encodeFrame(
         serve::wire::FrameType::TraceData, bytes.data(), bytes.size());
     frame[serve::wire::kFrameHeaderBytes + 20] ^= 0x04;
@@ -863,7 +883,7 @@ TEST(Service, ChunkCrcMismatchInsideValidFramesRejectsTheStream)
     srv.start();
     serve::Client c;
     connectRetry(c, cfg.socketPath);
-    c.hello("t");
+    helloNoResume(c, "t", prog.contentHash());
     c.sendTraceBytes(bytes.data(), bytes.size());
     serve::StreamResult r = c.end();
     srv.stopAndJoin();
@@ -891,7 +911,7 @@ TEST(Service, TruncatedTraceAtCleanFrameBoundaryIsTruncation)
     srv.start();
     serve::Client c;
     connectRetry(c, cfg.socketPath);
-    c.hello("t");
+    helloNoResume(c, "t", prog.contentHash());
     c.sendTraceBytes(bytes.data(), bytes.size());
     serve::StreamResult r = c.end();
     srv.stopAndJoin();
@@ -921,7 +941,7 @@ TEST(Service, ForeignModuleTraceIsRejected)
     srv.start();
     serve::Client c;
     connectRetry(c, cfg.socketPath);
-    c.hello("t");
+    helloNoResume(c, "t", prog.contentHash());
     c.sendTraceFile(path);
     serve::StreamResult r = c.end();
     srv.stopAndJoin();
@@ -929,6 +949,60 @@ TEST(Service, ForeignModuleTraceIsRejected)
     EXPECT_FALSE(r.ok);
     EXPECT_NE(r.text.find("different program"), std::string::npos)
         << r.text;
+    std::remove(path.c_str());
+}
+
+TEST(Service, RetiredV1HelloFrameGetsATypedReject)
+{
+    CompiledProgram prog = compileAndAnalyze(kLoopProgram, "svc_loop");
+    std::string path =
+        capture(prog, "v1hello", 2, false, /*tamper=*/true);
+    std::vector<uint8_t> bytes = readBytes(path);
+    Session off = Session::builder()
+                      .program(prog)
+                      .plan(ReplayPlan(path))
+                      .build();
+    off.run();
+    ASSERT_TRUE(off.alarmed());
+
+    serve::ServerConfig cfg;
+    cfg.socketPath = tmpPath("v1hello.sock");
+    cfg.threads = 2;
+    serve::Server srv(prog, cfg);
+    srv.start();
+
+    // A Hello2 stream is mid-trace while another peer sends a frame
+    // of the retired type 1 (the v1 Hello: a bare tenant name).
+    serve::Client good;
+    connectRetry(good, cfg.socketPath);
+    good.helloV2("good", prog.contentHash());
+    const size_t half = bytes.size() / 2;
+    good.sendTraceBytes(bytes.data(), half, 128);
+
+    std::vector<uint8_t> v1 = serve::wire::encodeTextFrame(
+        serve::wire::FrameType::TraceData, "legacy");
+    v1[4] = 1; // the type byte; the CRC covers only the payload
+    serve::Client old;
+    connectRetry(old, cfg.socketPath);
+    old.sendRaw(v1);
+    serve::StreamResult rOld = old.end();
+
+    good.sendTraceBytes(bytes.data() + half, bytes.size() - half, 128);
+    serve::StreamResult rGood = good.end();
+    srv.stopAndJoin();
+
+    EXPECT_FALSE(rOld.ok);
+    EXPECT_TRUE(rOld.errorCode == "protocol" ||
+                rOld.errorCode == "transport")
+        << rOld.text;
+    ASSERT_TRUE(rGood.ok) << rGood.text;
+    EXPECT_EQ(rGood.alarms, off.alarms().size());
+    EXPECT_EQ(rGood.alarmDigest, serve::alarmDigest(off.alarms()));
+
+    // The rejected peer never became a tenant.
+    auto snap = srv.snapshot();
+    ASSERT_EQ(snap.size(), 1u);
+    EXPECT_EQ(snap[0].name, "good");
     std::remove(path.c_str());
 }
 
@@ -948,7 +1022,7 @@ TEST(Service, SlowClientIsPausedCountedAndNeverDeadlocked)
 
     serve::Client c;
     connectRetry(c, cfg.socketPath);
-    c.hello("t");
+    c.helloV2("t", prog.contentHash());
     c.sendTraceBytes(bytes.data(), bytes.size(), 64);
     serve::StreamResult r = c.end();
     srv.stopAndJoin();
@@ -1003,7 +1077,7 @@ TEST(Service, ServePlanAggregatesTenantsLikeOfflineReplay)
         for (const char *tenant : {"a", "b"}) {
             serve::Client c;
             connectRetry(c, sock);
-            c.hello(tenant);
+            c.helloV2(tenant, prog.contentHash());
             c.sendTraceFile(dirty);
             serve::StreamResult r = c.end();
             EXPECT_TRUE(r.ok) << r.text;
@@ -1041,7 +1115,7 @@ TEST(Service, StopServingUnblocksAnOpenEndedServePlan)
     try {
         serve::Client c;
         connectRetry(c, sock);
-        c.hello("t");
+        c.helloV2("t", prog.contentHash());
         c.sendTraceFile(path);
         serve::StreamResult r = c.end();
         EXPECT_TRUE(r.ok) << r.text;
@@ -1056,25 +1130,4 @@ TEST(Service, StopServingUnblocksAnOpenEndedServePlan)
     t.join();
     EXPECT_EQ(srvSession.detectorStats().branchesSeen > 0, true);
     std::remove(path.c_str());
-}
-
-TEST(Service, ServePlanRejectsVmOnlyKnobs)
-{
-    CompiledProgram prog = compileAndAnalyze(kLoopProgram, "svc_loop");
-    TamperSpec spec;
-    try {
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-        Session::builder()
-            .program(prog)
-            .plan(ServePlan("x.sock"))
-            .tamper(spec)
-            .build();
-#pragma GCC diagnostic pop
-        FAIL() << "expected FatalError";
-    } catch (const FatalError &e) {
-        EXPECT_NE(std::string(e.what()).find("ServePlan"),
-                  std::string::npos)
-            << e.what();
-    }
 }

@@ -364,12 +364,13 @@ TEST(TcpService, TwoModulesTwoTenantsOneServerRouteByHash)
     b.sendTraceFile(gateTrc, 128);
     serve::StreamResult rbob = b.end();
 
-    // v1 Hello still works and routes to the FIRST registered module.
-    serve::Client legacy;
-    legacy.connectTcp("127.0.0.1", srv.boundTcpPort());
-    legacy.hello("carol");
-    legacy.sendTraceFile(loopTrc);
-    serve::StreamResult rc = legacy.end();
+    // A third tenant on the same module as alice, over TCP with the
+    // default frame size: its verdict is alice's.
+    serve::Client carol;
+    carol.connectTcp("127.0.0.1", srv.boundTcpPort());
+    carol.helloV2("carol", replay::readTraceHeader(loopTrc).moduleHash);
+    carol.sendTraceFile(loopTrc);
+    serve::StreamResult rc = carol.end();
     srv.stopAndJoin();
 
     ASSERT_TRUE(ra.ok) << ra.text;
@@ -465,7 +466,7 @@ TEST(TcpService, ResumeGraceExpiryFailsTheStreamAsTruncation)
     c.sendTraceBytes(bytes.data(), bytes.size() / 2, 128);
     c.abortConnection();
     // Never comes back: the park deadline passes, the stream fails
-    // as truncated (exactly what a v1 drop reports).
+    // as truncated (exactly what a non-resumable drop reports).
     srv.waitForStreams(1);
     srv.stopAndJoin();
     EXPECT_EQ(srv.streamsCompleted(), 0u);
